@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check race bench bench-serve bench-cache bench-quant bench-deep bench-swap microbench
+.PHONY: build test check race bench bench-cache bench-quant bench-deep bench-swap microbench
 
 build:
 	$(GO) build ./...
@@ -20,12 +20,6 @@ race:
 # at the repo root (see scripts/bench.sh and DESIGN.md §9).
 bench:
 	./scripts/bench.sh
-
-# Committed serving-path artifact: closed-loop HTTP load at several
-# concurrency levels, cross-request batching off vs on (BENCH_2.json,
-# see DESIGN.md §10).
-bench-serve:
-	$(GO) run ./cmd/tgopt-bench serve -o BENCH_2.json
 
 # Committed cache-policy artifact: memo-cache hit rate vs byte budget
 # on a Zipf-skewed trace, FIFO vs TinyLFU admission (BENCH_3.json, see

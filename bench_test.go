@@ -405,28 +405,3 @@ func BenchmarkEvictionPolicy(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkAttentionKernels contrasts the fused per-target attention
-// loop against the batched-matmul formulation a tensor framework would
-// use (DESIGN.md §6 kernel ablation).
-func BenchmarkAttentionKernels(b *testing.B) {
-	r := tensor.NewRNG(9)
-	attn := nn.NewTemporalAttention(tensor.NewRNG(1), 2, 64, 96)
-	n, k := 1024, 10
-	q := tensor.Randn(r, n, 64)
-	kv := tensor.Randn(r, n*k, 96)
-	mask := make([]bool, n*k)
-	for i := range mask {
-		mask[i] = i%7 != 0
-	}
-	b.Run("fused", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			attn.Forward(q, kv, k, mask, false)
-		}
-	})
-	b.Run("batched-matmul", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			attn.ForwardBatched(q, kv, k, mask)
-		}
-	})
-}

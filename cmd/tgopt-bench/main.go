@@ -16,8 +16,6 @@
 //	tgopt-bench warmstart                  # cache persistence warm start
 //	tgopt-bench batchsweep                 # batch-size sensitivity
 //	tgopt-bench perf [-o BENCH.json]       # kernel + end-to-end perf report
-//	tgopt-bench serve [-o BENCH.json]      # closed-loop serving load: throughput
-//	                                       # and latency vs concurrency, batching on/off
 //	tgopt-bench cachesweep [-o BENCH.json] # memo-cache hit rate vs byte budget,
 //	                                       # FIFO vs TinyLFU admission
 //	tgopt-bench quant [-o BENCH.json]      # int8 vs float32: kernel MB/s, e2e
@@ -42,9 +40,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
-	"time"
 
 	"tgopt/internal/dataset"
 	"tgopt/internal/experiments"
@@ -72,15 +67,7 @@ func main() {
 	seed := fs.Uint64("seed", 1, "deterministic seed")
 	plotDir := fs.String("plot", "", "also write figure SVGs into this directory")
 	csvDir := fs.String("csv", "", "also write machine-readable result CSVs into this directory")
-	out := fs.String("o", "", "perf/serve: write the JSON report here instead of stdout")
-	conc := fs.String("conc", "1,8,32", "serve: comma-separated closed-loop client counts")
-	reqs := fs.Int("requests", 400, "serve: measured requests per client per level")
-	warmup := fs.Int("warmup", 30, "serve: unmeasured warmup requests per client per level")
-	pool := fs.Int("pool", 48, "serve: distinct (node, ts) targets shared by all clients")
-	targets := fs.Int("targets", 4, "serve: targets per embed request")
-	rotate := fs.Int("rotate", 64, "serve: advance the query timestamp every N requests (0 = static times)")
-	batchWindow := fs.Duration("batch-window", 2*time.Millisecond, "serve: batcher flush window")
-	batchMax := fs.Int("batch-max", 256, "serve: batcher size trigger")
+	out := fs.String("o", "", "report subcommands: write the JSON report here instead of stdout")
 	maxAPDelta := fs.Float64("max-ap-delta", 0, "quantacc: exit non-zero if |AP(float32) - AP(int8)| exceeds this (0 disables the gate)")
 	if err := fs.Parse(os.Args[2:]); err != nil {
 		os.Exit(2)
@@ -209,20 +196,6 @@ func main() {
 			[]int{50, 100, 200, 400, 800})
 	case "perf":
 		err = runPerf(setup, one(focus, "snap-msg", *ds), *runs, *out)
-	case "serve":
-		cfg := perfbench.ServeLoadConfig{
-			RequestsPerClient: *reqs,
-			WarmupPerClient:   *warmup,
-			TargetsPerRequest: *targets,
-			TargetPool:        *pool,
-			RotateEvery:       *rotate,
-			Window:            *batchWindow,
-			MaxBatch:          *batchMax,
-			Seed:              *seed,
-		}
-		if cfg.Concurrency, err = parseConc(*conc); err == nil {
-			err = runServe(setup, one(focus, "snap-msg", *ds), cfg, *out)
-		}
 	case "cachesweep":
 		cfg := perfbench.DefaultCacheSweepConfig()
 		cfg.Seed = *seed
@@ -423,17 +396,7 @@ func runPerf(setup experiments.Setup, name string, runs int, out string) error {
 	if err != nil {
 		return err
 	}
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
-	if out == "" {
-		_, err = os.Stdout.Write(buf)
-	} else {
-		err = os.WriteFile(out, buf, 0o644)
-	}
-	if err != nil {
+	if err := writeReport(rep, out); err != nil {
 		return err
 	}
 	for _, r := range rep.Results {
@@ -445,52 +408,6 @@ func runPerf(setup experiments.Setup, name string, runs int, out string) error {
 	return nil
 }
 
-// parseConc parses the serve subcommand's comma-separated client counts.
-func parseConc(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || v < 1 {
-			return nil, fmt.Errorf("bad -conc element %q", part)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-// runServe executes the closed-loop serving benchmark and writes the
-// JSON report to out (stdout when empty), with a per-level summary line
-// on stderr.
-func runServe(setup experiments.Setup, name string, cfg perfbench.ServeLoadConfig, out string) error {
-	rep, err := perfbench.RunServe(setup, name, cfg)
-	if err != nil {
-		return err
-	}
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
-	if out == "" {
-		_, err = os.Stdout.Write(buf)
-	} else {
-		err = os.WriteFile(out, buf, 0o644)
-	}
-	if err != nil {
-		return err
-	}
-	for _, l := range rep.Levels {
-		mode := "off"
-		if l.Batching {
-			mode = "on "
-		}
-		fmt.Fprintf(os.Stderr, "serve: conc=%-3d batch=%s %8.0f req/s  p50=%7.0fus p99=%7.0fus coalesce=%.2f\n",
-			l.Concurrency, mode, l.Throughput, l.P50us, l.P99us, l.CoalesceRatio)
-	}
-	fmt.Fprintf(os.Stderr, "serve: speedup at max concurrency %.2fx\n", rep.SpeedupMaxConc)
-	return nil
-}
-
 // runCacheSweep executes the FIFO-vs-TinyLFU hit-rate sweep and writes
 // the JSON report to out (stdout when empty), one summary line per
 // budget on stderr.
@@ -499,17 +416,7 @@ func runCacheSweep(cfg perfbench.CacheSweepConfig, out string) error {
 	if err != nil {
 		return err
 	}
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
-	if out == "" {
-		_, err = os.Stdout.Write(buf)
-	} else {
-		err = os.WriteFile(out, buf, 0o644)
-	}
-	if err != nil {
+	if err := writeReport(rep, out); err != nil {
 		return err
 	}
 	for _, p := range rep.Points {
@@ -635,7 +542,7 @@ func writeReport(rep any, out string) error {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: tgopt-bench <table1|table2|fig3|fig4|fig5|fig6|fig7|table3|table4|table5|sampling|train-dedup|batchsweep|warmstart|perf|serve|cachesweep|quant|quantacc|deepsweep|swapsweep|all> [flags]
+	fmt.Fprintln(os.Stderr, `usage: tgopt-bench <table1|table2|fig3|fig4|fig5|fig6|fig7|table3|table4|table5|sampling|train-dedup|batchsweep|warmstart|perf|cachesweep|quant|quantacc|deepsweep|swapsweep|all> [flags]
 run "tgopt-bench fig5 -h" for flags`)
 }
 

@@ -221,6 +221,11 @@ type Cache struct {
 	promoteDrops atomic.Int64
 
 	promoteCh chan promoteReq
+	// promoteMu is held by the promote worker from a promotion's hot
+	// insert until its evicted victim lands in the spill tier. Keys
+	// takes it too, so a background promotion never leaves an entry
+	// between the tiers while Keys scans them.
+	promoteMu sync.Mutex
 	stop      chan struct{}
 	wg        sync.WaitGroup
 	closeOnce sync.Once
@@ -418,21 +423,45 @@ func (c *Cache) LookupInto(keys []uint64, dst *tensor.Tensor, hits []bool) int {
 		panic("core: cache Lookup hits length mismatch")
 	}
 	data := dst.Data()
+	n := c.lookupPass(keys, data, hits, false)
+	if c.spill != nil && n < len(keys) {
+		// The spill pass starts only after the whole batch has probed the
+		// hot tier: a promote-on-hit queued earlier could otherwise evict
+		// a hot entry this batch has yet to probe, demoting the batch's
+		// own hits and making the tier stats depend on timing.
+		n += c.lookupPass(keys, data, hits, true)
+	}
+	return n
+}
+
+// lookupPass runs one lookup pass over every key — the hot probe, or
+// with spill set the cold probe of the hot misses — fanned out across
+// chunks for large batches, and returns the hits it found.
+func (c *Cache) lookupPass(keys []uint64, data []float32, hits []bool, spill bool) int {
+	// The closure is built only on the fan-out branch so the serial path
+	// stays allocation-free.
 	if len(keys) >= cacheParallelThreshold && parallel.Degree() > 1 {
 		var nhits atomic.Int64
 		parallel.ForChunked(len(keys), 0, func(lo, hi int) {
-			nhits.Add(int64(c.lookupRange(keys, data, hits, lo, hi)))
+			nhits.Add(int64(c.probe(keys, data, hits, lo, hi, spill)))
 		})
 		return int(nhits.Load())
 	}
-	return c.lookupRange(keys, data, hits, 0, len(keys))
+	return c.probe(keys, data, hits, 0, len(keys), spill)
 }
 
-// lookupRange performs lookups for keys [lo,hi), returning the local
-// hit count. Hot-tier hit/miss counters are bumped under the shard
-// lock; the spill probe runs outside it (disk I/O never blocks a
-// shard).
-func (c *Cache) lookupRange(keys []uint64, data []float32, hits []bool, lo, hi int) int {
+// probe runs one chunk of a lookup pass.
+func (c *Cache) probe(keys []uint64, data []float32, hits []bool, lo, hi int, spill bool) int {
+	if spill {
+		return c.probeSpill(keys, data, hits, lo, hi)
+	}
+	return c.probeHot(keys, data, hits, lo, hi)
+}
+
+// probeHot looks up keys [lo,hi) in the hot tier, writing every mask
+// element and returning the local hit count. Hit/miss counters are
+// bumped under the shard lock.
+func (c *Cache) probeHot(keys []uint64, data []float32, hits []bool, lo, hi int) int {
 	local := 0
 	for i := lo; i < hi; i++ {
 		key := keys[i]
@@ -449,22 +478,35 @@ func (c *Cache) lookupRange(keys []uint64, data []float32, hits []bool, lo, hi i
 			s.misses++
 		}
 		s.mu.Unlock()
-		if !ok && c.spill != nil {
-			// The fence generation is captured BEFORE the spill read: an
-			// invalidation (Remove/Clear) that completes anywhere between
-			// this load and the promote worker's re-check bumps gen, so
-			// the promotion is dropped instead of resurrecting the entry.
-			gen := c.gen.Load()
-			row := data[i*c.dim : (i+1)*c.dim]
-			if c.spill.Get(key, row) {
-				ok = true
-				c.spillHits.Add(1)
-				c.maybePromote(key, row, gen)
-			}
-		}
 		hits[i] = ok
 		if ok {
 			local++
+		}
+	}
+	return local
+}
+
+// probeSpill looks up the hot misses among keys [lo,hi) in the spill
+// tier, outside any shard lock (disk I/O never blocks a shard), and
+// queues a promotion for each spill hit. It returns the local spill
+// hit count.
+func (c *Cache) probeSpill(keys []uint64, data []float32, hits []bool, lo, hi int) int {
+	local := 0
+	for i := lo; i < hi; i++ {
+		if hits[i] {
+			continue
+		}
+		// The fence generation is captured BEFORE the spill read: an
+		// invalidation (Remove/Clear) that completes anywhere between
+		// this load and the promote worker's re-check bumps gen, so the
+		// promotion is dropped instead of resurrecting the entry.
+		gen := c.gen.Load()
+		row := data[i*c.dim : (i+1)*c.dim]
+		if c.spill.Get(keys[i], row) {
+			hits[i] = true
+			local++
+			c.spillHits.Add(1)
+			c.maybePromote(keys[i], row, gen)
 		}
 	}
 	return local
@@ -509,6 +551,8 @@ func (c *Cache) promoteLoop() {
 // never resurrected. An admission-rejected promotion is simply left in
 // the cold tier (it is already there; no re-spill churn).
 func (c *Cache) promoteOne(req promoteReq) {
+	c.promoteMu.Lock()
+	defer c.promoteMu.Unlock()
 	s := c.shardFor(req.key)
 	s.mu.Lock()
 	if c.gen.Load() != req.gen {
@@ -580,7 +624,7 @@ func (c *Cache) storeOne(key uint64, vec []float32) {
 // s.mu). It refreshes existing keys in place, applies TinyLFU
 // admission against the would-be victim when the shard is full, and
 // returns the displaced victim (nil if none) plus whether key was
-// admitted. Frequency is recorded by lookups only (lookupRange incs
+// admitted. Frequency is recorded by lookups only (probeHot incs
 // the sketch); counting here too would double-count every miss+store
 // access, and a bulk load of never-looked-up keys would age resident
 // heavy hitters out of the sketch without a single real access.
@@ -771,6 +815,8 @@ func (c *Cache) SetModelVersion(v uint64) {
 // order, each key once). Used to rebuild derived indexes after a
 // snapshot load.
 func (c *Cache) Keys() []uint64 {
+	c.promoteMu.Lock()
+	defer c.promoteMu.Unlock()
 	out := make([]uint64, 0, c.Len())
 	for i := range c.shards {
 		s := &c.shards[i]

@@ -1,11 +1,103 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"tgopt/internal/nn"
 	"tgopt/internal/tensor"
 )
+
+// IntervalTimeTable is the time-encoding lookup table of Zhou et al.
+// (IPDPS 2022, reference [41] of the paper): the Δt range is split into
+// a fixed number of intervals (hardcoded to 128 in their design) and
+// every delta is encoded as its interval's representative value.
+//
+// It is implemented here as the related-work comparator the paper
+// positions TGOpt against: unlike TGOpt's dense window (§4.3), which
+// returns bit-exact encodings for in-window deltas and falls back to
+// the true computation otherwise, the interval table *quantizes* —
+// every lookup is O(1) but the result differs from Φ(Δt) whenever Δt is
+// not exactly a representative, altering model semantics. The accuracy
+// tests quantify that difference; the benchmarks compare the cost.
+type IntervalTimeTable struct {
+	enc       *nn.TimeEncoder
+	intervals int
+	width     float64        // interval width over [0, maxDelta]
+	table     *tensor.Tensor // (intervals, d) encodings of midpoints
+}
+
+// NewIntervalTimeTable builds a table of `intervals` buckets covering
+// [0, maxDelta]. Zhou et al. use 128 intervals.
+func NewIntervalTimeTable(enc *nn.TimeEncoder, intervals int, maxDelta float64) *IntervalTimeTable {
+	if intervals < 1 {
+		panic("core: interval table needs >= 1 intervals")
+	}
+	if maxDelta <= 0 {
+		panic("core: interval table needs positive maxDelta")
+	}
+	t := &IntervalTimeTable{
+		enc:       enc,
+		intervals: intervals,
+		width:     maxDelta / float64(intervals),
+	}
+	mids := make([]float64, intervals)
+	for i := range mids {
+		mids[i] = (float64(i) + 0.5) * t.width
+	}
+	t.table = enc.Encode(mids)
+	return t
+}
+
+// Intervals returns the bucket count.
+func (t *IntervalTimeTable) Intervals() int { return t.intervals }
+
+// EncodeInto fills dst (len(dts), d) with quantized encodings. Deltas
+// beyond the covered range clamp to the last interval; negative deltas
+// clamp to the first. Unlike TimeTable there is no exact-compute
+// fallback — that is the point of the comparison.
+func (t *IntervalTimeTable) EncodeInto(dts []float64, dst *tensor.Tensor) {
+	d := t.enc.Dim()
+	tab := t.table.Data()
+	for i, dt := range dts {
+		idx := int(dt / t.width)
+		if idx < 0 {
+			idx = 0
+		}
+		if idx >= t.intervals {
+			idx = t.intervals - 1
+		}
+		copy(dst.Data()[i*d:(i+1)*d], tab[idx*d:(idx+1)*d])
+	}
+}
+
+// Encode is EncodeInto with allocation.
+func (t *IntervalTimeTable) Encode(dts []float64) *tensor.Tensor {
+	out := tensor.New(len(dts), t.enc.Dim())
+	t.EncodeInto(dts, out)
+	return out
+}
+
+// QuantizationError returns the mean and max absolute elementwise error
+// of the quantized encodings against the exact Φ over the given deltas —
+// the semantic drift TGOpt avoids by construction.
+func (t *IntervalTimeTable) QuantizationError(dts []float64) (mean, max float64) {
+	exact := t.enc.Encode(dts)
+	approx := t.Encode(dts)
+	var sum float64
+	n := exact.Len()
+	for i := 0; i < n; i++ {
+		e := math.Abs(float64(exact.Data()[i]) - float64(approx.Data()[i]))
+		sum += e
+		if e > max {
+			max = e
+		}
+	}
+	if n > 0 {
+		mean = sum / float64(n)
+	}
+	return mean, max
+}
 
 func TestIntervalTableQuantizes(t *testing.T) {
 	enc := nn.NewTimeEncoder(8)

@@ -8,8 +8,8 @@ import (
 )
 
 // fuzzSeedBlobs builds representative cache-blob inputs: a valid v2
-// blob, a valid legacy v1 blob, and mutations of each. The same blobs
-// back the checked-in corpus under testdata/fuzz.
+// blob, a retired v1 blob (refused), and mutations of each. The v2
+// blobs back the checked-in corpus under testdata/fuzz.
 func fuzzSeedBlobs() [][]byte {
 	c := NewCache(16, 3, 4)
 	r := tensor.NewRNG(9)

@@ -3,19 +3,23 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"sync"
 	"testing"
 
+	"tgopt/internal/checkpoint"
 	"tgopt/internal/faultfs"
 	"tgopt/internal/tensor"
 	"tgopt/internal/tgat"
 )
 
-// legacyV1Blob builds a pre-envelope cache blob: global-count header,
-// as the v1 writer produced it.
+// legacyV1Blob builds a pre-envelope cache blob: global-count header
+// under the "TGCC" magic, as the retired v1 writer produced it.
 func legacyV1Blob(dim int, keys []uint64, vals [][]float32) []byte {
 	var buf bytes.Buffer
 	put32 := func(v uint32) {
@@ -23,7 +27,7 @@ func legacyV1Blob(dim int, keys []uint64, vals [][]float32) []byte {
 		binary.LittleEndian.PutUint32(b[:], v)
 		buf.Write(b[:])
 	}
-	put32(cacheMagicV1)
+	put32(0x54474343) // "TGCC"
 	put32(uint32(dim))
 	put32(uint32(len(keys)))
 	rec := make([]byte, 8+4*dim)
@@ -120,23 +124,23 @@ func TestCacheReadFromAllOrNothing(t *testing.T) {
 	}
 }
 
+// TestCacheReadFromLegacyV1Blob: the v1 layout is no longer read. A v1
+// blob is refused and leaves the cache exactly as it was.
 func TestCacheReadFromLegacyV1Blob(t *testing.T) {
 	keys := []uint64{11, 22, 33}
 	vals := [][]float32{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}}
 	blob := legacyV1Blob(3, keys, vals)
 	c := NewCache(10, 3, 2)
-	if _, err := c.ReadFrom(bytes.NewReader(blob)); err != nil {
-		t.Fatalf("legacy v1 blob rejected: %v", err)
+	c.Store([]uint64{7}, tensor.Ones(1, 3))
+	if _, err := c.ReadFrom(bytes.NewReader(blob)); err == nil {
+		t.Fatal("legacy v1 blob accepted")
 	}
-	dst := tensor.New(3, 3)
-	if _, nh := c.Lookup(keys, dst); nh != 3 {
-		t.Fatalf("restored %d/3 legacy entries", nh)
+	if c.Len() != 1 || !c.Contains(7) {
+		t.Fatalf("refused v1 blob changed the cache: len=%d", c.Len())
 	}
-	for i := range keys {
-		for j, want := range vals[i] {
-			if dst.At(i, j) != want {
-				t.Fatalf("entry %d col %d = %v, want %v", i, j, dst.At(i, j), want)
-			}
+	for _, k := range keys {
+		if c.Contains(k) {
+			t.Fatalf("refused v1 blob applied key %d", k)
 		}
 	}
 }
@@ -249,45 +253,78 @@ func TestLoadCachesCorruptLeavesEngineCold(t *testing.T) {
 	}
 }
 
-// TestLoadCachesLegacyFile: snapshot files written before the envelope
-// (raw layer stream with v1 blobs) must keep loading.
+// engineCacheKeys lists every cached key per layer, sorted, so a test
+// can assert that a refused load left the caches untouched.
+func engineCacheKeys(e *Engine) map[int][]uint64 {
+	out := make(map[int][]uint64)
+	for l, c := range e.caches {
+		if c == nil {
+			continue
+		}
+		keys := c.Keys()
+		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+		out[l] = keys
+	}
+	return out
+}
+
+// TestLoadCachesLegacyFile: snapshot files in retired formats — the
+// pre-envelope raw layer stream with v1 blobs, and the unversioned
+// version-2 envelope — are refused, and the engine's caches stay as
+// they were (a refused snapshot means a cold start, never a partial
+// one).
 func TestLoadCachesLegacyFile(t *testing.T) {
 	ds, m, s := engineTestSetup(t, 300)
-	_ = ds
-	var buf bytes.Buffer
-	put32 := func(v uint32) {
-		var b [4]byte
-		binary.LittleEndian.PutUint32(b[:], v)
-		buf.Write(b[:])
+	eng := NewEngine(m, s, OptAll())
+	edges := ds.Graph.Edges()[:40]
+	nodes := make([]int32, len(edges))
+	ts := make([]float64, len(edges))
+	for i, e := range edges {
+		nodes[i], ts[i] = e.Src, e.Time
 	}
-	put32(1) // one cached layer
-	put32(1) // layer 1
+	eng.Embed(nodes, ts)
+	before := engineCacheKeys(eng)
+	if eng.CacheLen() == 0 {
+		t.Fatal("warm-up cached nothing")
+	}
+
+	layerStream := func(blob []byte) []byte {
+		var buf bytes.Buffer
+		var b [4]byte
+		binary.LittleEndian.PutUint32(b[:], 1) // one cached layer
+		buf.Write(b[:])
+		buf.Write(b[:]) // layer 1
+		buf.Write(blob)
+		return buf.Bytes()
+	}
 	keys := []uint64{5, 6}
 	vals := [][]float32{make([]float32, 16), make([]float32, 16)}
 	vals[0][0], vals[1][0] = 1.5, 2.5
-	buf.Write(legacyV1Blob(16, keys, vals))
-	path := filepath.Join(t.TempDir(), "legacy.bin")
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+	dir := t.TempDir()
+	legacy := filepath.Join(dir, "legacy.bin")
+	if err := os.WriteFile(legacy, layerStream(legacyV1Blob(16, keys, vals)), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	eng := NewEngine(m, s, OptAll())
-	if err := eng.LoadCaches(path); err != nil {
-		t.Fatalf("legacy snapshot rejected: %v", err)
+	c := NewCache(10, 16, 1)
+	c.Store(keys, tensor.Ones(2, 16))
+	var blob bytes.Buffer
+	if _, err := c.WriteTo(&blob); err != nil {
+		t.Fatal(err)
 	}
-	if eng.CacheLen() != 2 {
-		t.Fatalf("restored %d legacy entries, want 2", eng.CacheLen())
+	v2 := filepath.Join(dir, "v2.bin")
+	if err := checkpoint.Write(v2, 2, func(w io.Writer) error {
+		_, err := w.Write(layerStream(blob.Bytes()))
+		return err
+	}); err != nil {
+		t.Fatal(err)
 	}
 
-	// A truncated legacy file (no checksum to catch it) must still be
-	// all-or-nothing: parse fails, zero entries applied.
-	if err := os.WriteFile(path, buf.Bytes()[:buf.Len()-5], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	cold := NewEngine(m, s, OptAll())
-	if err := cold.LoadCaches(path); err == nil {
-		t.Fatal("truncated legacy snapshot accepted")
-	}
-	if cold.CacheLen() != 0 {
-		t.Fatalf("truncated legacy snapshot half-applied %d entries", cold.CacheLen())
+	for _, path := range []string{legacy, v2} {
+		if err := eng.LoadCaches(path); err == nil {
+			t.Fatalf("%s: retired snapshot format accepted", filepath.Base(path))
+		}
+		if after := engineCacheKeys(eng); !reflect.DeepEqual(after, before) {
+			t.Fatalf("%s: refused snapshot changed the caches", filepath.Base(path))
+		}
 	}
 }

@@ -506,63 +506,58 @@ func (sp *SpillStore) compactLocked(seg *spillSeg) {
 
 // Get copies the spilled embedding for key into dst and reports
 // whether it was found intact. Disk reads happen outside the store
-// lock; the index is re-checked afterwards so a record superseded,
-// compacted, or removed mid-read is returned as a miss, never as stale
-// data. A record whose CRC fails is unindexed and counted — corrupt
-// bytes never reach dst.
+// lock; the index is re-checked afterwards, and a record superseded,
+// compacted, or removed mid-read is looked up again at its new
+// location, so it is never returned as stale data and a key that is
+// still spilled never reads as a miss. A record whose CRC fails is
+// unindexed and counted — corrupt bytes never reach dst.
 func (sp *SpillStore) Get(key uint64, dst []float32) bool {
 	if len(dst) != sp.dim {
 		panic("core: spill Get dim mismatch")
 	}
-	sp.mu.Lock()
-	ref, ok := sp.index[key]
-	if !ok {
-		sp.mu.Unlock()
-		return false
-	}
 	rec := sp.codec.recSize()
-	if ref.seg == sp.openID {
-		buf := sp.open[ref.off : ref.off+rec]
-		sp.codec.decode(buf[8:rec-4], dst)
+	var buf []byte
+	for {
+		sp.mu.Lock()
+		ref, ok := sp.index[key]
+		if !ok {
+			sp.mu.Unlock()
+			return false
+		}
+		if ref.seg == sp.openID {
+			open := sp.open[ref.off : ref.off+rec]
+			sp.codec.decode(open[8:rec-4], dst)
+			sp.mu.Unlock()
+			sp.hits.Add(1)
+			return true
+		}
+		path := sp.segs[ref.seg].path
 		sp.mu.Unlock()
+
+		if buf == nil {
+			buf = make([]byte, rec)
+		}
+		valid := sp.readRecord(path, ref.off, buf) &&
+			binary.LittleEndian.Uint64(buf) == key &&
+			crc32.ChecksumIEEE(buf[:rec-4]) == binary.LittleEndian.Uint32(buf[rec-4:])
+
+		sp.mu.Lock()
+		still := sp.index[key] == ref
+		if still && !valid {
+			sp.corruptRecs.Add(1)
+			sp.dropRefLocked(key, ref)
+		}
+		sp.mu.Unlock()
+		if !still {
+			continue // moved mid-read (compaction deletes the old file)
+		}
+		if !valid {
+			return false
+		}
+		sp.codec.decode(buf[8:rec-4], dst)
 		sp.hits.Add(1)
 		return true
 	}
-	seg := sp.segs[ref.seg]
-	path := seg.path
-	sp.mu.Unlock()
-
-	buf := make([]byte, rec)
-	if !sp.readRecord(path, ref.off, buf) {
-		sp.dropCorruptRef(key, ref)
-		return false
-	}
-	if binary.LittleEndian.Uint64(buf) != key ||
-		crc32.ChecksumIEEE(buf[:rec-4]) != binary.LittleEndian.Uint32(buf[rec-4:]) {
-		sp.dropCorruptRef(key, ref)
-		return false
-	}
-
-	sp.mu.Lock()
-	still := sp.index[key] == ref
-	sp.mu.Unlock()
-	if !still {
-		return false
-	}
-	sp.codec.decode(buf[8:rec-4], dst)
-	sp.hits.Add(1)
-	return true
-}
-
-// dropCorruptRef unindexes a record that failed validation, if the
-// index still points at it.
-func (sp *SpillStore) dropCorruptRef(key uint64, ref spillRef) {
-	sp.corruptRecs.Add(1)
-	sp.mu.Lock()
-	if sp.index[key] == ref {
-		sp.dropRefLocked(key, ref)
-	}
-	sp.mu.Unlock()
 }
 
 // readRecord reads one record at the given payload offset of a sealed

@@ -115,7 +115,7 @@ func TestEngineConcurrentStreamMatchesSerial(t *testing.T) {
 	ds, m, s := engineTestSetup(t, 600)
 	serial := tgat.StreamInference(ds.Graph, m, 100, m.BaselineEmbedFunc(s))
 	eng := NewEngine(m, s, OptAll())
-	conc := tgat.StreamInferenceConcurrent(ds.Graph, m, 100, 4, eng.EmbedFunc())
+	conc := tgat.StreamInferenceArena(ds.Graph, m, 100, 4, eng.EmbedArenaFunc())
 	for i := range serial.Scores {
 		d := serial.Scores[i] - conc.Scores[i]
 		if d < 0 {

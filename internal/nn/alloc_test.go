@@ -38,10 +38,6 @@ func TestForwardWithSteadyStateAllocs(t *testing.T) {
 			ar.Reset()
 			attn.ForwardWith(ar, q, kv, k, mask)
 		}},
-		{"attention_batched", func() {
-			ar.Reset()
-			attn.ForwardBatchedWith(ar, q, kv, k, mask)
-		}},
 		{"merge_linear", func() {
 			ar.Reset()
 			h := merge.ForwardWith(ar, q, q)

@@ -289,16 +289,6 @@ func TestAdamSkipsNilGrads(t *testing.T) {
 	}
 }
 
-func TestSGDStep(t *testing.T) {
-	p := tensor.FromSlice([]float32{2}, 1)
-	opt := NewSGD([]*tensor.Tensor{p}, 0.5)
-	g := tensor.FromSlice([]float32{1}, 1)
-	opt.Step([]*tensor.Tensor{g})
-	if p.Data()[0] != 1.5 {
-		t.Fatalf("SGD step wrong: %v", p.Data()[0])
-	}
-}
-
 func TestBCEWithLogitsKnownValues(t *testing.T) {
 	logits := tensor.FromSlice([]float32{0, 0}, 2)
 	loss := BCEWithLogits(logits, []float32{1, 0})
@@ -357,31 +347,5 @@ func TestAccuracy(t *testing.T) {
 	}
 	if Accuracy(nil, nil) != 0 {
 		t.Fatal("empty Accuracy should be 0")
-	}
-}
-
-func TestForwardBatchedMatchesFusedKernel(t *testing.T) {
-	a := newAttn(t, 2, 16, 20)
-	r := tensor.NewRNG(30)
-	n, k := 50, 7
-	q := tensor.Randn(r, n, 16)
-	kv := tensor.Randn(r, n*k, 20)
-	mask := make([]bool, n*k)
-	for i := range mask {
-		mask[i] = r.Float64() > 0.25
-	}
-	fused, _ := a.Forward(q, kv, k, mask, false)
-	batched := a.ForwardBatched(q, kv, k, mask)
-	if d := fused.MaxAbsDiff(batched); d > 1e-5 {
-		t.Fatalf("kernels diverge by %g", d)
-	}
-	// Fully masked target agrees too.
-	for i := 0; i < k; i++ {
-		mask[i] = false
-	}
-	fused2, _ := a.Forward(q, kv, k, mask, false)
-	batched2 := a.ForwardBatched(q, kv, k, mask)
-	if d := fused2.MaxAbsDiff(batched2); d > 1e-5 {
-		t.Fatalf("masked-row kernels diverge by %g", d)
 	}
 }

@@ -81,29 +81,3 @@ func (a *Adam) SetStepCount(n int) { a.step = n }
 // with the constructor's params order. Callers may read or overwrite
 // their contents (checkpoint save/restore) but must not reshape them.
 func (a *Adam) Moments() (m, v []*tensor.Tensor) { return a.m, a.v }
-
-// SGD is a plain stochastic-gradient-descent optimizer, kept as a simple
-// baseline for the optimizer tests.
-type SGD struct {
-	LR     float64
-	params []*tensor.Tensor
-}
-
-// NewSGD creates an SGD optimizer over params.
-func NewSGD(params []*tensor.Tensor, lr float64) *SGD {
-	return &SGD{LR: lr, params: params}
-}
-
-// Step applies p -= lr*g for each parameter.
-func (s *SGD) Step(grads []*tensor.Tensor) {
-	for i, p := range s.params {
-		g := grads[i]
-		if g == nil {
-			continue
-		}
-		pd, gd := p.Data(), g.Data()
-		for j := range pd {
-			pd[j] -= float32(s.LR * float64(gd[j]))
-		}
-	}
-}

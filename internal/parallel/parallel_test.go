@@ -117,88 +117,6 @@ func TestSetDegreeResetsToGOMAXPROCS(t *testing.T) {
 	SetDegree(prev)
 }
 
-func TestPoolRunsSubmittedTasks(t *testing.T) {
-	p := NewPool(4)
-	defer p.Close()
-	var count atomic.Int32
-	for i := 0; i < 100; i++ {
-		p.Submit(func() { count.Add(1) })
-	}
-	p.Wait()
-	if count.Load() != 100 {
-		t.Fatalf("pool ran %d tasks, want 100", count.Load())
-	}
-}
-
-func TestPoolCloseIdempotentAndSubmitPanics(t *testing.T) {
-	p := NewPool(2)
-	p.Submit(func() {})
-	p.Close()
-	p.Close() // must not panic
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Submit after Close did not panic")
-		}
-	}()
-	p.Submit(func() {})
-}
-
-func TestPoolDefaultSize(t *testing.T) {
-	p := NewPool(0)
-	defer p.Close()
-	if p.Workers() < 1 {
-		t.Fatalf("Workers() = %d, want >= 1", p.Workers())
-	}
-}
-
-func TestPoolPanicDoesNotWedgeWait(t *testing.T) {
-	p := NewPool(2)
-	var ran atomic.Int32
-	p.Submit(func() { panic("task boom") })
-	for i := 0; i < 10; i++ {
-		p.Submit(func() { ran.Add(1) })
-	}
-	// The regression: before panic recovery, a panicking task killed its
-	// worker without calling Done, so Wait blocked forever. Now Wait must
-	// return (by re-raising the first panic as a *WorkerPanic).
-	recovered := func() (r any) {
-		defer func() { r = recover() }()
-		p.Wait()
-		return nil
-	}()
-	wp, ok := recovered.(*WorkerPanic)
-	if !ok {
-		t.Fatalf("Wait recovered %T %v, want *WorkerPanic", recovered, recovered)
-	}
-	if wp.Value != "task boom" {
-		t.Fatalf("WorkerPanic.Value = %v", wp.Value)
-	}
-	if len(wp.Stack) == 0 {
-		t.Fatal("WorkerPanic.Stack empty")
-	}
-	if ran.Load() != 10 {
-		t.Fatalf("non-panicking tasks ran %d times, want 10", ran.Load())
-	}
-	// The panic record was consumed: the pool remains usable.
-	p.Submit(func() { ran.Add(1) })
-	p.Wait()
-	if ran.Load() != 11 {
-		t.Fatal("pool unusable after recovered panic")
-	}
-	p.Close()
-}
-
-func TestPoolPanicSurfacesAtClose(t *testing.T) {
-	p := NewPool(1)
-	p.Submit(func() { panic("late boom") })
-	defer func() {
-		if _, ok := recover().(*WorkerPanic); !ok {
-			t.Fatal("Close did not re-raise the unconsumed task panic")
-		}
-	}()
-	p.Close()
-}
-
 func TestForChunkedPanicPropagates(t *testing.T) {
 	prev := SetDegree(4)
 	defer SetDegree(prev)

@@ -123,15 +123,13 @@ func toResult(name string, r testing.BenchmarkResult, bytesPerOp int64) Result {
 }
 
 // kernelResults measures the dense matmul kernels at attention-batch
-// shape: the naive reference, the blocked kernel behind MatMulInto, the
-// packed-panel kernel, and the sparse kernel on an 87%-zero operand
-// (its masked-softmax use case).
+// shape: the blocked kernel behind MatMulInto and the sparse kernel on
+// an 87%-zero operand (its masked-softmax use case).
 func kernelResults() []Result {
 	r := tensor.NewRNG(1)
 	a := tensor.Randn(r, kernelM, kernelK)
 	b := tensor.Randn(r, kernelK, kernelN)
 	dst := tensor.New(kernelM, kernelN)
-	pack := make([]float32, tensor.PackedScratchLen(kernelK, kernelN))
 	aSparse := a.Clone()
 	sd := aSparse.Data()
 	for i := range sd {
@@ -147,12 +145,6 @@ func kernelResults() []Result {
 			tensor.MatMulInto(a, b, dst)
 		}
 	})
-	packed := testing.Benchmark(func(bm *testing.B) {
-		bm.ReportAllocs()
-		for i := 0; i < bm.N; i++ {
-			tensor.MatMulPackedInto(a, b, dst, pack)
-		}
-	})
 	sparse := testing.Benchmark(func(bm *testing.B) {
 		bm.ReportAllocs()
 		for i := 0; i < bm.N; i++ {
@@ -161,7 +153,6 @@ func kernelResults() []Result {
 	})
 	return []Result{
 		toResult("kernel/matmul_blocked", blocked, bytes),
-		toResult("kernel/matmul_packed", packed, bytes),
 		toResult("kernel/matmul_sparse_87pct", sparse, bytes),
 	}
 }

@@ -260,7 +260,23 @@ func TestServeShardedPartialResponse(t *testing.T) {
 	armed.Store(false)
 
 	// The poisoned group's shards crashed; the supervisor restarts them
-	// and the pool settles back to full clean 200s.
+	// and the pool settles back to full clean 200s. The restart is
+	// asynchronous and a clean 200 can come from a fallback shard before
+	// it has counted itself, so wait for the restart first.
+	restarted := func() bool {
+		var sr statsResponse
+		getJSON(t, on.URL+"/v1/stats", &sr)
+		if sr.Shards == nil {
+			t.Fatal("stats missing shards section")
+		}
+		for _, v := range sr.Shards.Shards {
+			if v.Restarts > 0 {
+				return true
+			}
+		}
+		return false
+	}
+	waitForServe(t, 5*time.Second, restarted)
 	waitForServe(t, 5*time.Second, func() bool {
 		body, code, err := postBody(on.URL, "/v1/embed", req)
 		return err == nil && code == 200 && bytes.Equal(body, want)

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"net/http"
 	"os"
@@ -55,9 +56,10 @@ func TestServeWarmStartRoundTrip(t *testing.T) {
 }
 
 // TestServeWarmStartColdOnMissingAndCorrupt: the serving process must
-// boot either way — missing snapshot, garbage file, or a bit-flipped
-// real snapshot all mean a logged cold start, never an exit or a
-// half-loaded cache.
+// boot either way — missing snapshot, garbage file, a bit-flipped real
+// snapshot, or a snapshot in the retired pre-envelope format all mean a
+// logged cold start, never an exit or a half-loaded cache. Every case
+// but the missing file counts one snapshot error.
 func TestServeWarmStartColdOnMissingAndCorrupt(t *testing.T) {
 	dir := t.TempDir()
 
@@ -82,13 +84,28 @@ func TestServeWarmStartColdOnMissingAndCorrupt(t *testing.T) {
 	if err := os.WriteFile(garbage, []byte("not a snapshot at all"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// Pre-envelope layer stream: one cached layer (layer 1) holding a v1
+	// "TGCC" blob with a single zero embedding.
+	var legacyData []byte
+	dim := s.Engine().Dim()
+	for _, v := range []uint32{1, 1, 0x54474343, uint32(dim), 1} {
+		legacyData = binary.LittleEndian.AppendUint32(legacyData, v)
+	}
+	legacyData = binary.LittleEndian.AppendUint64(legacyData, 1<<32|5000)
+	legacyData = append(legacyData, make([]byte, 4*dim)...)
+	legacy := filepath.Join(dir, "legacy.bin")
+	if err := os.WriteFile(legacy, legacyData, 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	for _, tc := range []struct {
 		name, path string
+		snapErrs   int64
 	}{
-		{"missing", filepath.Join(dir, "nope.bin")},
-		{"garbage", garbage},
-		{"bit-flipped", flipped},
+		{"missing", filepath.Join(dir, "nope.bin"), 0},
+		{"garbage", garbage, 1},
+		{"bit-flipped", flipped, 1},
+		{"legacy", legacy, 1},
 	} {
 		s2, ts2 := testServer(t)
 		ingest(t, ts2.URL, snapshotEdges())
@@ -99,6 +116,9 @@ func TestServeWarmStartColdOnMissingAndCorrupt(t *testing.T) {
 		}
 		if logged == 0 {
 			t.Fatalf("%s: cold start not logged", tc.name)
+		}
+		if got := s2.snapshotErrors.Load(); got != tc.snapErrs {
+			t.Fatalf("%s: snapshot_errors = %d, want %d", tc.name, got, tc.snapErrs)
 		}
 	}
 }

@@ -81,13 +81,6 @@ func BenchmarkMatMulKernels(b *testing.B) {
 			MatMulInto(a, w, dst)
 		}
 	})
-	pack := make([]float32, PackedScratchLen(k, n))
-	b.Run("packed", func(b *testing.B) {
-		b.SetBytes(bytes)
-		for i := 0; i < b.N; i++ {
-			MatMulPackedInto(a, w, dst, pack)
-		}
-	})
 	b.Run("sparse/dense-input", func(b *testing.B) {
 		b.SetBytes(bytes)
 		for i := 0; i < b.N; i++ {

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
 )
 
 // Binary serialization for tensors: a tiny, versioned, little-endian
@@ -112,31 +111,4 @@ func (t *Tensor) ReadFrom(r io.Reader) (int64, error) {
 	t.shape = shape
 	t.data = data
 	return n, nil
-}
-
-// SaveFile writes the tensor to path, creating or truncating it.
-func (t *Tensor) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if _, err := t.WriteTo(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// LoadFile reads a tensor from path.
-func LoadFile(path string) (*Tensor, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var t Tensor
-	if _, err := t.ReadFrom(f); err != nil {
-		return nil, fmt.Errorf("tensor: loading %s: %w", path, err)
-	}
-	return &t, nil
 }

@@ -86,169 +86,6 @@ func matmulRows(a, b, c []float32, lo, hi, k, n int) {
 	}
 }
 
-// MatMulAutoInto computes dst = A·B choosing the dense kernel by
-// measured throughput. pack may be nil or a PackedScratchLen(k, n)
-// scratch slice; it is accepted so callers holding packed scratch can
-// switch kernels without an API change, but the current heuristic never
-// uses it.
-//
-// Benchmark guard: BENCH_1.json (m=2048, k=96, n=64, the attention
-// shape) measured kernel/matmul_blocked at 216.6 MB/s and
-// kernel/matmul_packed at 195.5 MB/s — the packed kernel's O(k·n)
-// repack pass and panel-boundary stores cost more than its extra
-// register blocking buys at every shape the TGAT layers produce, so
-// the blocked kernel is the dense default for all sizes. If a future
-// BENCH_<n>.json shows the packed kernel winning on some shape, encode
-// that shape test here rather than at call sites.
-func MatMulAutoInto(a, b, dst *Tensor, pack []float32) {
-	_ = pack
-	MatMulInto(a, b, dst)
-}
-
-// PackedScratchLen returns the scratch length MatMulPackedInto needs
-// for a B operand of shape (k, n).
-func PackedScratchLen(k, n int) int { return k * ((n + 3) &^ 3) }
-
-// MatMulPackedInto computes dst = A·B like MatMulInto, but first packs
-// B into column panels of width 4 (zero-padded at the tail) so the 4×4
-// micro-kernel reads both operands with unit stride and keeps sixteen
-// accumulators in registers. pack must have at least
-// PackedScratchLen(k, n) elements — pass an arena slice to keep the
-// call allocation-free. The packing cost is O(k·n), amortized over m
-// rows. Despite the extra register blocking, BENCH_1.json measured this
-// kernel ~10% slower than MatMulInto at the tall-skinny attention shape
-// (195.5 vs 216.6 MB/s) — the repack pass plus panel-boundary stores
-// outweigh the blocking — so the dense default (MatMulAutoInto) does
-// not select it. It is kept for shapes a future benchmark may surface.
-func MatMulPackedInto(a, b, dst *Tensor, pack []float32) {
-	m, k := a.shape[0], a.shape[1]
-	n := b.shape[1]
-	if b.shape[0] != k {
-		panic(fmt.Sprintf("tensor: MatMulPackedInto inner dimension mismatch %v x %v", a.shape, b.shape))
-	}
-	if dst.shape[0] != m || dst.shape[1] != n {
-		panic(fmt.Sprintf("tensor: MatMulPackedInto dst shape %v, want [%d %d]", dst.shape, m, n))
-	}
-	need := PackedScratchLen(k, n)
-	if len(pack) < need {
-		panic(fmt.Sprintf("tensor: MatMulPackedInto pack scratch %d, need %d", len(pack), need))
-	}
-	pack = pack[:need]
-	packB(b.data, k, n, pack)
-	ad, cd := a.data, dst.data
-	pk := pack
-	if m >= ParallelThresholds.MatMulRows && parallel.Degree() > 1 {
-		parallel.ForChunked(m, 0, func(lo, hi int) { matmulPackedRows(ad, pk, cd, lo, hi, k, n) })
-	} else {
-		matmulPackedRows(ad, pk, cd, 0, m, k, n)
-	}
-}
-
-// packB rearranges B (k, n) into ceil(n/4) contiguous panels of shape
-// (k, 4); panel p holds columns 4p..4p+3, zero-padded past n.
-func packB(b []float32, k, n int, pack []float32) {
-	np := (n + 3) &^ 3
-	for p := 0; p < np/4; p++ {
-		base := p * k * 4
-		j0 := p * 4
-		w := n - j0
-		if w > 4 {
-			w = 4
-		}
-		for kk := 0; kk < k; kk++ {
-			src := b[kk*n+j0 : kk*n+j0+w]
-			d := pack[base+kk*4 : base+kk*4+4]
-			d[0], d[1], d[2], d[3] = 0, 0, 0, 0
-			copy(d, src)
-		}
-	}
-}
-
-// matmulPackedRows runs the 4×4 micro-kernel over rows [lo,hi).
-func matmulPackedRows(a, pack, c []float32, lo, hi, k, n int) {
-	np := (n + 3) &^ 3
-	i := lo
-	for ; i+4 <= hi; i += 4 {
-		a0 := a[(i+0)*k : (i+0)*k+k]
-		a1 := a[(i+1)*k : (i+1)*k+k]
-		a2 := a[(i+2)*k : (i+2)*k+k]
-		a3 := a[(i+3)*k : (i+3)*k+k]
-		for p := 0; p < np/4; p++ {
-			pb := pack[p*k*4 : (p+1)*k*4]
-			var c00, c01, c02, c03 float32
-			var c10, c11, c12, c13 float32
-			var c20, c21, c22, c23 float32
-			var c30, c31, c32, c33 float32
-			for kk := 0; kk < k; kk++ {
-				o := kk * 4
-				b0, b1, b2, b3 := pb[o], pb[o+1], pb[o+2], pb[o+3]
-				av := a0[kk]
-				c00 += av * b0
-				c01 += av * b1
-				c02 += av * b2
-				c03 += av * b3
-				av = a1[kk]
-				c10 += av * b0
-				c11 += av * b1
-				c12 += av * b2
-				c13 += av * b3
-				av = a2[kk]
-				c20 += av * b0
-				c21 += av * b1
-				c22 += av * b2
-				c23 += av * b3
-				av = a3[kk]
-				c30 += av * b0
-				c31 += av * b1
-				c32 += av * b2
-				c33 += av * b3
-			}
-			j0 := p * 4
-			storePanelRow(c[(i+0)*n:(i+0)*n+n], j0, c00, c01, c02, c03)
-			storePanelRow(c[(i+1)*n:(i+1)*n+n], j0, c10, c11, c12, c13)
-			storePanelRow(c[(i+2)*n:(i+2)*n+n], j0, c20, c21, c22, c23)
-			storePanelRow(c[(i+3)*n:(i+3)*n+n], j0, c30, c31, c32, c33)
-		}
-	}
-	if i < hi {
-		// Remainder rows (at most 3): the plain blocked kernel needs the
-		// original row-major B, which the packed panels can reproduce
-		// column-by-column; reuse the scalar path instead.
-		for ; i < hi; i++ {
-			arow := a[i*k : i*k+k]
-			crow := c[i*n : i*n+n]
-			for p := 0; p < np/4; p++ {
-				pb := pack[p*k*4 : (p+1)*k*4]
-				var c0, c1, c2, c3 float32
-				for kk := 0; kk < k; kk++ {
-					o := kk * 4
-					av := arow[kk]
-					c0 += av * pb[o]
-					c1 += av * pb[o+1]
-					c2 += av * pb[o+2]
-					c3 += av * pb[o+3]
-				}
-				storePanelRow(crow, p*4, c0, c1, c2, c3)
-			}
-		}
-	}
-}
-
-// storePanelRow writes up to four accumulated panel values into row at
-// column j0, discarding the zero-padded tail.
-func storePanelRow(row []float32, j0 int, v0, v1, v2, v3 float32) {
-	switch len(row) - j0 {
-	case 1:
-		row[j0] = v0
-	case 2:
-		row[j0], row[j0+1] = v0, v1
-	case 3:
-		row[j0], row[j0+1], row[j0+2] = v0, v1, v2
-	default:
-		row[j0], row[j0+1], row[j0+2], row[j0+3] = v0, v1, v2, v3
-	}
-}
-
 // MatMulSparseInto computes dst = A·B skipping zero A entries — the
 // kernel the dense path used before register blocking. It only pays off
 // when A is genuinely sparse (≳80% zeros, e.g. the masked attention
@@ -373,74 +210,6 @@ func MatVec(a, x *Tensor) *Tensor {
 		out.data[i] = dot32(a.data[i*k:(i+1)*k], x.data)
 	}
 	return out
-}
-
-// BatchedMatMul computes C[b] = A[b]·B[b] for rank-3 tensors
-// A (B,m,k) and B (B,k,n), producing (B,m,n).
-func BatchedMatMul(a, b *Tensor) *Tensor {
-	if a.Rank() != 3 || b.Rank() != 3 {
-		panic("tensor: BatchedMatMul requires rank-3 operands")
-	}
-	out := New(a.shape[0], a.shape[1], b.shape[2])
-	BatchedMatMulInto(a, b, out)
-	return out
-}
-
-// BatchedMatMulInto computes C[b] = A[b]·B[b] into dst (B,m,n),
-// overwriting it. Batches are independent; the batch loop parallelizes
-// above ParallelThresholds.BatchedMatMulBatches with a serial blocked
-// kernel per batch.
-func BatchedMatMulInto(a, b, dst *Tensor) {
-	bs, m, k, n := batchedCheck("BatchedMatMulInto", a, b, dst)
-	ad, bd, cd := a.data, b.data, dst.data
-	if bs >= ParallelThresholds.BatchedMatMulBatches && parallel.Degree() > 1 {
-		parallel.ForChunked(bs, 0, func(lo, hi int) { batchedRange(ad, bd, cd, lo, hi, m, k, n) })
-	} else {
-		batchedRange(ad, bd, cd, 0, bs, m, k, n)
-	}
-}
-
-// batchedRange runs the dense blocked kernel for batches [lo,hi).
-func batchedRange(a, b, c []float32, lo, hi, m, k, n int) {
-	for bi := lo; bi < hi; bi++ {
-		matmulRows(a[bi*m*k:(bi+1)*m*k], b[bi*k*n:(bi+1)*k*n], c[bi*m*n:(bi+1)*m*n], 0, m, k, n)
-	}
-}
-
-// BatchedMatMulSparseInto is BatchedMatMulInto skipping zero A entries.
-// The batched attention kernel uses it for the α·V product, where the
-// masked softmax zeroes every padded neighbor slot — A is genuinely
-// sparse there. Legality caveats as MatMulSparseInto.
-func BatchedMatMulSparseInto(a, b, dst *Tensor) {
-	bs, m, k, n := batchedCheck("BatchedMatMulSparseInto", a, b, dst)
-	ad, bd, cd := a.data, b.data, dst.data
-	if bs >= ParallelThresholds.BatchedMatMulBatches && parallel.Degree() > 1 {
-		parallel.ForChunked(bs, 0, func(lo, hi int) { batchedSparseRange(ad, bd, cd, lo, hi, m, k, n) })
-	} else {
-		batchedSparseRange(ad, bd, cd, 0, bs, m, k, n)
-	}
-}
-
-// batchedSparseRange runs the zero-skipping kernel for batches [lo,hi).
-func batchedSparseRange(a, b, c []float32, lo, hi, m, k, n int) {
-	for bi := lo; bi < hi; bi++ {
-		matmulSparseRows(a[bi*m*k:(bi+1)*m*k], b[bi*k*n:(bi+1)*k*n], c[bi*m*n:(bi+1)*m*n], 0, m, k, n)
-	}
-}
-
-func batchedCheck(op string, a, b, dst *Tensor) (bs, m, k, n int) {
-	if a.Rank() != 3 || b.Rank() != 3 {
-		panic("tensor: " + op + " requires rank-3 operands")
-	}
-	bs, m, k = a.shape[0], a.shape[1], a.shape[2]
-	if b.shape[0] != bs || b.shape[1] != k {
-		panic(fmt.Sprintf("tensor: %s shape mismatch %v x %v", op, a.shape, b.shape))
-	}
-	n = b.shape[2]
-	if dst.Rank() != 3 || dst.shape[0] != bs || dst.shape[1] != m || dst.shape[2] != n {
-		panic(fmt.Sprintf("tensor: %s dst shape %v, want [%d %d %d]", op, dst.shape, bs, m, n))
-	}
-	return bs, m, k, n
 }
 
 // Linear computes x·Wᵀ + bias for x (n, in), W (out, in) and bias [out]

@@ -1,7 +1,6 @@
 package tensor
 
 import (
-	"fmt"
 	"testing"
 
 	"tgopt/internal/parallel"
@@ -76,24 +75,6 @@ func TestMatMulIntoMatchesNaive(t *testing.T) {
 	}
 }
 
-func TestMatMulPackedMatchesNaive(t *testing.T) {
-	r := NewRNG(12)
-	for _, s := range kernelShapes {
-		a := Randn(r, s.m, s.k)
-		b := Randn(r, s.k, s.n)
-		want := matmulNaive(a, b)
-		got := New(s.m, s.n)
-		got.Fill(999)
-		pack := make([]float32, PackedScratchLen(s.k, s.n))
-		MatMulPackedInto(a, b, got, pack)
-		// The packed micro-kernel accumulates per output element in k
-		// order, the same order as the naive kernel → bitwise equality.
-		if d := got.MaxAbsDiff(want); d != 0 {
-			t.Errorf("MatMulPackedInto %dx%dx%d: max diff %g from naive", s.m, s.k, s.n, d)
-		}
-	}
-}
-
 func TestMatMulSparseMatchesNaive(t *testing.T) {
 	r := NewRNG(13)
 	for _, s := range kernelShapes {
@@ -130,39 +111,6 @@ func TestMatMulTIntoMatchesNaive(t *testing.T) {
 		if d := got.MaxAbsDiff(want); d > 1e-4 {
 			t.Errorf("MatMulTInto %dx%dx%d: max diff %g from naive", s.m, s.k, s.n, d)
 		}
-	}
-}
-
-func TestBatchedMatMulVariantsMatchNaive(t *testing.T) {
-	r := NewRNG(15)
-	const bs, m, k, n = 9, 5, 7, 6
-	a := Randn(r, bs, m, k)
-	for i := range a.data {
-		if i%3 == 0 {
-			a.data[i] = 0
-		}
-	}
-	b := Randn(r, bs, k, n)
-	want := New(bs, m, n)
-	for bi := 0; bi < bs; bi++ {
-		av := FromSlice(a.data[bi*m*k:(bi+1)*m*k], m, k)
-		bv := FromSlice(b.data[bi*k*n:(bi+1)*k*n], k, n)
-		copy(want.data[bi*m*n:(bi+1)*m*n], matmulNaive(av, bv).data)
-	}
-	dense := New(bs, m, n)
-	dense.Fill(999)
-	BatchedMatMulInto(a, b, dense)
-	if d := dense.MaxAbsDiff(want); d != 0 {
-		t.Errorf("BatchedMatMulInto: max diff %g from naive", d)
-	}
-	sparse := New(bs, m, n)
-	sparse.Fill(999)
-	BatchedMatMulSparseInto(a, b, sparse)
-	if d := sparse.MaxAbsDiff(want); d != 0 {
-		t.Errorf("BatchedMatMulSparseInto: max diff %g from naive", d)
-	}
-	if got := BatchedMatMul(a, b); got.MaxAbsDiff(want) != 0 {
-		t.Errorf("BatchedMatMul: max diff %g from naive", got.MaxAbsDiff(want))
 	}
 }
 
@@ -238,11 +186,9 @@ func TestKernelAllocs(t *testing.T) {
 	b := Randn(r, 96, 64)
 	bt := Randn(r, 64, 96)
 	dst := New(128, 64)
-	pack := make([]float32, PackedScratchLen(96, 64))
 	bias := Randn(r, 64)
 	for name, fn := range map[string]func(){
 		"MatMulInto":       func() { MatMulInto(a, b, dst) },
-		"MatMulPackedInto": func() { MatMulPackedInto(a, b, dst, pack) },
 		"MatMulSparseInto": func() { MatMulSparseInto(a, b, dst) },
 		"MatMulTInto":      func() { MatMulTInto(a, bt, dst) },
 		"LinearInto":       func() { LinearInto(a, bt, bias, dst) },
@@ -349,40 +295,8 @@ func TestArenaPoolConcurrent(t *testing.T) {
 	})
 }
 
-func TestPackedScratchLen(t *testing.T) {
-	for _, tc := range []struct{ k, n, want int }{
-		{3, 1, 12}, {3, 4, 12}, {3, 5, 24}, {96, 64, 96 * 64},
-	} {
-		if got := PackedScratchLen(tc.k, tc.n); got != tc.want {
-			t.Errorf("PackedScratchLen(%d,%d) = %d, want %d", tc.k, tc.n, got, tc.want)
-		}
-	}
-}
-
-func TestMatMulPackedScratchTooSmall(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for undersized pack scratch")
-		}
-	}()
-	r := NewRNG(21)
-	a := Randn(r, 4, 8)
-	b := Randn(r, 8, 8)
-	MatMulPackedInto(a, b, New(4, 8), make([]float32, 1))
-}
-
 func TestParallelThresholdDefaults(t *testing.T) {
-	if ParallelThresholds.MatMulRows != 64 || ParallelThresholds.BatchedMatMulBatches != 8 {
+	if ParallelThresholds.MatMulRows != 64 {
 		t.Errorf("unexpected defaults %+v", ParallelThresholds)
 	}
-}
-
-func ExampleMatMulPackedInto() {
-	a := FromSlice([]float32{1, 2, 3, 4}, 2, 2)
-	b := FromSlice([]float32{5, 6, 7, 8}, 2, 2)
-	dst := New(2, 2)
-	pack := make([]float32, PackedScratchLen(2, 2))
-	MatMulPackedInto(a, b, dst, pack)
-	fmt.Println(dst)
-	// Output: Tensor[2 2][19 22 43 50]
 }

@@ -70,14 +70,6 @@ func Scale(a *Tensor, s float32) *Tensor {
 	return out
 }
 
-// ScaleInPlace multiplies every element of a by s and returns a.
-func ScaleInPlace(a *Tensor, s float32) *Tensor {
-	for i := range a.data {
-		a.data[i] *= s
-	}
-	return a
-}
-
 // AXPY performs a += alpha*b elementwise and returns a.
 func AXPY(alpha float32, b, a *Tensor) *Tensor {
 	binaryCheck("AXPY", a, b)
@@ -324,15 +316,6 @@ func ScatterAddRows(dst *Tensor, idx []int, src *Tensor) {
 			d[j] += s[j]
 		}
 	}
-}
-
-// Map applies f to every element, returning a new tensor.
-func Map(a *Tensor, f func(float32) float32) *Tensor {
-	out := New(a.shape...)
-	for i, v := range a.data {
-		out.data[i] = f(v)
-	}
-	return out
 }
 
 // Cos returns cos(a) elementwise.

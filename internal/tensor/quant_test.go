@@ -187,27 +187,6 @@ func TestQuantLinearParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestMatMulAutoMatchesBlocked(t *testing.T) {
-	r := NewRNG(36)
-	for _, s := range kernelShapes {
-		a := Randn(r, s.m, s.k)
-		b := Randn(r, s.k, s.n)
-		want := New(s.m, s.n)
-		MatMulInto(a, b, want)
-		got := New(s.m, s.n)
-		got.Fill(999)
-		MatMulAutoInto(a, b, got, nil)
-		if d := got.MaxAbsDiff(want); d != 0 {
-			t.Errorf("MatMulAutoInto(nil pack) %dx%dx%d: diff %g", s.m, s.k, s.n, d)
-		}
-		got.Fill(999)
-		MatMulAutoInto(a, b, got, make([]float32, PackedScratchLen(s.k, s.n)))
-		if d := got.MaxAbsDiff(want); d != 0 {
-			t.Errorf("MatMulAutoInto(pack) %dx%dx%d: diff %g", s.m, s.k, s.n, d)
-		}
-	}
-}
-
 // The int8 kernels share the float kernels' steady-state contract:
 // with caller-provided scratch, zero heap allocations.
 func TestQuantKernelAllocs(t *testing.T) {

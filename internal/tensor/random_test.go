@@ -3,7 +3,6 @@ package tensor
 import (
 	"bytes"
 	"math"
-	"path/filepath"
 	"testing"
 	"testing/quick"
 )
@@ -167,25 +166,5 @@ func TestTensorSerializationRejectsGarbage(t *testing.T) {
 	var tt Tensor
 	if _, err := tt.ReadFrom(bytes.NewReader([]byte{1, 2, 3, 4, 5, 6, 7, 8})); err == nil {
 		t.Fatal("bad magic accepted")
-	}
-}
-
-func TestTensorFileRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "w.tensor")
-	r := NewRNG(8)
-	orig := Randn(r, 16, 16)
-	if err := orig.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	back, err := LoadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !back.AllClose(orig, 0) {
-		t.Fatal("file round trip mismatch")
-	}
-	if _, err := LoadFile(filepath.Join(dir, "missing.tensor")); err == nil {
-		t.Fatal("loading missing file did not error")
 	}
 }

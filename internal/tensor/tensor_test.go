@@ -335,23 +335,6 @@ func TestMatVecMatchesMatMul(t *testing.T) {
 	}
 }
 
-func TestBatchedMatMulMatchesPerBatch(t *testing.T) {
-	r := NewRNG(8)
-	bs, m, k, n := 10, 6, 5, 7
-	a := Rand(r, bs, m, k)
-	b := Rand(r, bs, k, n)
-	c := BatchedMatMul(a, b)
-	for bi := 0; bi < bs; bi++ {
-		av := FromSlice(a.Data()[bi*m*k:(bi+1)*m*k], m, k)
-		bv := FromSlice(b.Data()[bi*k*n:(bi+1)*k*n], k, n)
-		want := MatMul(av, bv)
-		got := FromSlice(c.Data()[bi*m*n:(bi+1)*m*n], m, n)
-		if !got.AllClose(want, 1e-4) {
-			t.Fatalf("batch %d mismatch: %g", bi, got.MaxAbsDiff(want))
-		}
-	}
-}
-
 func TestLinearMatchesManual(t *testing.T) {
 	r := NewRNG(9)
 	x := Rand(r, 4, 6)

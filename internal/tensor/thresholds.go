@@ -7,21 +7,17 @@ package tensor
 // chunk-counter contention) costs more than the parallelism recovers.
 //
 // The defaults were picked by benchmark on the shapes TGAT produces
-// (tall-skinny operands, k ≲ 200): see BenchmarkMatMulSerialVsParallel
-// and BenchmarkBatchedMatMul. They can be overridden at startup —
+// (tall-skinny operands, k ≲ 200): see BenchmarkMatMulSerialVsParallel.
+// They can be overridden at startup —
 // before any concurrent kernel use — for unusual hardware; the kernels
 // read them on every call without synchronization.
 type Thresholds struct {
 	// MatMulRows is the minimum number of output rows for MatMulInto,
 	// MatMulT and LinearInto to parallelize the row loop.
 	MatMulRows int
-	// BatchedMatMulBatches is the minimum batch count for
-	// BatchedMatMulInto to parallelize across batches.
-	BatchedMatMulBatches int
 }
 
 // ParallelThresholds is the process-wide kernel fan-out configuration.
 var ParallelThresholds = Thresholds{
-	MatMulRows:           64,
-	BatchedMatMulBatches: 8,
+	MatMulRows: 64,
 }

@@ -49,23 +49,19 @@ func arenaAdapter(embed EmbedFunc) EmbedArenaFunc {
 	}
 }
 
-// StreamInferenceConcurrent is StreamInference with up to `workers`
-// batches in flight at once. Temporal embeddings depend only on the
-// (immutable) graph and model — the TGOpt cache changes how fast a
-// value is produced, never what it is — so batches may be computed in
-// any order or in parallel without changing a single score; results are
-// written into stream order. The embed function must be safe for
-// concurrent use (both the baseline and the TGOpt engine are).
-func StreamInferenceConcurrent(g *graph.Graph, m *Model, batchSize, workers int, embed EmbedFunc) *StreamResult {
-	return StreamInferenceArena(g, m, batchSize, workers, arenaAdapter(embed))
-}
-
-// StreamInferenceArena is StreamInferenceConcurrent for an arena-aware
-// embed function. A fixed pool of `workers` goroutines claims batch
-// indices off an atomic counter; each worker owns one arena and one set
-// of batch buffers for its whole lifetime, reset/reused per batch, so
-// steady-state batches perform no heap allocation in the driver. With
-// workers <= 1 the stream runs on the calling goroutine.
+// StreamInferenceArena is StreamInference for an arena-aware embed
+// function, with up to `workers` batches in flight at once. Temporal
+// embeddings depend only on the (immutable) graph and model — the TGOpt
+// cache changes how fast a value is produced, never what it is — so
+// batches may be computed in any order or in parallel without changing
+// a single score; results are written into stream order. The embed
+// function must be safe for concurrent use when workers > 1 (both the
+// baseline and the TGOpt engine are). A fixed pool of `workers`
+// goroutines claims batch indices off an atomic counter; each worker
+// owns one arena and one set of batch buffers for its whole lifetime,
+// reset/reused per batch, so steady-state batches perform no heap
+// allocation in the driver. With workers <= 1 the stream runs on the
+// calling goroutine.
 func StreamInferenceArena(g *graph.Graph, m *Model, batchSize, workers int, embed EmbedArenaFunc) *StreamResult {
 	return StreamInferenceArenaScored(g, m, batchSize, workers, embed, m)
 }

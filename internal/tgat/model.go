@@ -3,10 +3,8 @@ package tgat
 import (
 	"bufio"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 
 	"tgopt/internal/checkpoint"
@@ -297,39 +295,20 @@ func (m *Model) SaveParamsFS(fsys checkpoint.FS, path string) error {
 // The architecture (and hence the parameter list) must match. The load
 // is all-or-nothing: every tensor is parsed and shape-checked before
 // the first one is applied, so a corrupt or mismatched checkpoint
-// leaves the model's parameters untouched. Both current (enveloped,
-// checksummed) and legacy (raw stream) checkpoint files load.
+// leaves the model's parameters untouched. Only the enveloped,
+// checksummed format loads; a pre-envelope raw stream is refused.
 func (m *Model) LoadParams(path string) error {
-	err := checkpoint.Read(path, func(version uint32, r io.Reader) error {
+	return checkpoint.Read(path, func(version uint32, r io.Reader) error {
 		if version != paramsVersion {
 			return fmt.Errorf("tgat: checkpoint version %d, model reads %d", version, paramsVersion)
 		}
-		return m.loadParamStream(r)
-	})
-	if errors.Is(err, checkpoint.ErrNotCheckpoint) {
-		// Pre-envelope checkpoint: same stream, no checksum.
-		f, ferr := os.Open(path)
-		if ferr != nil {
-			return ferr
+		sp, err := m.parseParamStream(r)
+		if err != nil {
+			return err
 		}
-		defer f.Close()
-		if err := m.loadParamStream(bufio.NewReader(f)); err != nil {
-			return fmt.Errorf("tgat: legacy checkpoint %s: %w", path, err)
-		}
+		m.ApplyParams(sp)
 		return nil
-	}
-	return err
-}
-
-// loadParamStream parses a parameter stream into staging tensors and
-// applies them only after every one has been read and validated.
-func (m *Model) loadParamStream(r io.Reader) error {
-	sp, err := m.parseParamStream(r)
-	if err != nil {
-		return err
-	}
-	m.ApplyParams(sp)
-	return nil
+	})
 }
 
 // StagedParams is a fully parsed and shape-validated parameter

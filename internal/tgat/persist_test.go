@@ -4,10 +4,12 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"tgopt/internal/checkpoint"
 	"tgopt/internal/faultfs"
 	"tgopt/internal/tensor"
 )
@@ -82,15 +84,20 @@ func legacyParamsFile(t *testing.T, m *Model, path string) {
 	}
 }
 
+// TestLoadParamsLegacyFile: the pre-envelope format is no longer read.
+// A legacy file is refused and leaves the model's parameters as they
+// were.
 func TestLoadParamsLegacyFile(t *testing.T) {
 	m := persistTestModel(t, 11)
 	path := filepath.Join(t.TempDir(), "legacy.bin")
 	legacyParamsFile(t, m, path)
 	m2 := persistTestModel(t, 99)
-	if err := m2.LoadParams(path); err != nil {
-		t.Fatalf("legacy checkpoint rejected: %v", err)
+	before := paramSnapshot(m2)
+	err := m2.LoadParams(path)
+	if !errors.Is(err, checkpoint.ErrNotCheckpoint) {
+		t.Fatalf("legacy checkpoint error = %v, want ErrNotCheckpoint", err)
 	}
-	paramsEqual(t, m2, paramSnapshot(m), "legacy load")
+	paramsEqual(t, m2, before, "after refused legacy load")
 }
 
 // TestSaveParamsAtomicUnderFaults: whatever fault hits the file system
@@ -177,22 +184,6 @@ func TestLoadParamsAllOrNothing(t *testing.T) {
 		}
 		paramsEqual(t, loader, before, "after truncation")
 	}
-
-	// A truncated *legacy* file has no checksum; the staged apply is
-	// what protects it.
-	legacy := filepath.Join(dir, "legacy.bin")
-	legacyParamsFile(t, m, legacy)
-	lb, err := os.ReadFile(legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(legacy, lb[:len(lb)-7], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := loader.LoadParams(legacy); err == nil {
-		t.Fatal("truncated legacy checkpoint accepted")
-	}
-	paramsEqual(t, loader, before, "after truncated legacy load")
 }
 
 // FuzzLoadParams asserts the loader's contract over arbitrary file

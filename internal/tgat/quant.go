@@ -31,16 +31,6 @@ func QuantizeModel(m *Model) *QuantModel {
 	return qm
 }
 
-// WeightBytes returns the packed int8 weight footprint (all layers plus
-// the affinity head), for the stats surface.
-func (qm *QuantModel) WeightBytes() int {
-	var b int
-	for l := range qm.Attn {
-		b += qm.Attn[l].Bytes() + qm.Merge[l].Bytes()
-	}
-	return b + qm.Affinity.Bytes()
-}
-
 // LayerForwardWith is Model.LayerForwardWith through the int8 kernels.
 // See that method for the shape contract.
 func (qm *QuantModel) LayerForwardWith(ar *tensor.Arena, l int, hTgt, hNgh, eFeat, tEnc0, tEncD *tensor.Tensor, mask []bool) *tensor.Tensor {

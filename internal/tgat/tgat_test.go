@@ -285,7 +285,7 @@ func TestStreamInferenceConcurrentMatchesSerial(t *testing.T) {
 	s := graph.NewSampler(ds.Graph, m.Cfg.NumNeighbors, graph.MostRecent, 0)
 	serial := StreamInference(ds.Graph, m, 100, m.BaselineEmbedFunc(s))
 	for _, workers := range []int{1, 2, 4} {
-		conc := StreamInferenceConcurrent(ds.Graph, m, 100, workers, m.BaselineEmbedFunc(s))
+		conc := StreamInferenceArena(ds.Graph, m, 100, workers, arenaAdapter(m.BaselineEmbedFunc(s)))
 		if len(conc.Scores) != len(serial.Scores) || conc.Batches != serial.Batches {
 			t.Fatalf("workers=%d: shape mismatch", workers)
 		}

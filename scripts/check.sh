@@ -52,8 +52,8 @@ go run ./cmd/tgopt-bench quantacc -max-ap-delta 0.01 > /dev/null
 echo "== bench smoke (compile + one iteration of every benchmark)"
 go test -run='^$' -bench=. -benchtime=1x ./internal/tensor/ ./internal/core/ ./internal/graph/ > /dev/null
 
-echo "== serve load smoke (tgopt-bench serve, tiny closed loop)"
-go run ./cmd/tgopt-bench serve -conc 1,4 -requests 10 -warmup 2 > /dev/null
+echo "== serve load smoke (servebench: stream, online, mixed with their correctness gates)"
+(cd servebench && go test -count=1 .)
 
 echo "== fuzz smoke (persistence parsers + ingest bodies, seed corpus + 5s each)"
 go test -run='^$' -fuzz='^FuzzDecode$' -fuzztime=5s ./internal/checkpoint/
