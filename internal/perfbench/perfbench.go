@@ -122,21 +122,14 @@ func toResult(name string, r testing.BenchmarkResult, bytesPerOp int64) Result {
 	return res
 }
 
-// kernelResults measures the dense matmul kernels at attention-batch
-// shape: the blocked kernel behind MatMulInto and the sparse kernel on
-// an 87%-zero operand (its masked-softmax use case).
+// kernelResults measures the dense kernels: the blocked kernel behind
+// MatMulInto at attention-batch shape, and LinearInto — the projection
+// every nn.Linear runs — at linearM rows of the layer-1 K/V shape.
 func kernelResults() []Result {
 	r := tensor.NewRNG(1)
 	a := tensor.Randn(r, kernelM, kernelK)
 	b := tensor.Randn(r, kernelK, kernelN)
 	dst := tensor.New(kernelM, kernelN)
-	aSparse := a.Clone()
-	sd := aSparse.Data()
-	for i := range sd {
-		if i%8 != 0 {
-			sd[i] = 0
-		}
-	}
 	bytes := int64(4 * (kernelM*kernelK + kernelK*kernelN + kernelM*kernelN))
 
 	blocked := testing.Benchmark(func(bm *testing.B) {
@@ -145,15 +138,21 @@ func kernelResults() []Result {
 			tensor.MatMulInto(a, b, dst)
 		}
 	})
-	sparse := testing.Benchmark(func(bm *testing.B) {
+
+	const linearM = 4096
+	x := tensor.Randn(r, linearM, kernelK)
+	w := tensor.Randn(r, kernelN, kernelK)
+	bias := tensor.Randn(r, kernelN)
+	ldst := tensor.New(linearM, kernelN)
+	linear := testing.Benchmark(func(bm *testing.B) {
 		bm.ReportAllocs()
 		for i := 0; i < bm.N; i++ {
-			tensor.MatMulSparseInto(aSparse, b, dst)
+			tensor.LinearInto(x, w, bias, ldst)
 		}
 	})
 	return []Result{
 		toResult("kernel/matmul_blocked", blocked, bytes),
-		toResult("kernel/matmul_sparse_87pct", sparse, bytes),
+		toResult("kernel/linear_f32", linear, int64(4*(linearM*kernelK+kernelN*kernelK+linearM*kernelN))),
 	}
 }
 

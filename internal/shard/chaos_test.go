@@ -108,11 +108,22 @@ func TestChaosShardPanicUnderLoad(t *testing.T) {
 		}
 	}
 	var completed atomic.Int64
+	// Each worker pauses after its first quarter until the fault is
+	// armed, and at its half-way point until the fault is withdrawn, so
+	// the fault lands mid-load and recovery runs under load however
+	// fast the engine finishes a request.
+	armed, disarmed := make(chan struct{}), make(chan struct{})
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
+				switch i {
+				case perWorker / 4:
+					<-armed
+				case perWorker / 2:
+					<-disarmed
+				}
 				ctx, cancel := context.WithTimeout(context.Background(), reqTimeout)
 				start := time.Now()
 				res, err := r.Embed(ctx, nodes, ts)
@@ -133,18 +144,19 @@ func TestChaosShardPanicUnderLoad(t *testing.T) {
 		}()
 	}
 
-	// Mid-load: arm the panic once a quarter of the workload has flowed
-	// (progress-synchronized, not wall-clock — the workload may be
-	// arbitrarily fast), keep it armed until the victim demonstrably
+	// Mid-load: arm the panic once every worker has finished its first
+	// quarter (progress-synchronized, not wall-clock — the workload may
+	// be arbitrarily fast), keep it armed until the victim demonstrably
 	// panicked, then disarm and let the supervisor bring it back while
-	// the remaining load keeps flowing.
-	total := int64(workers * perWorker)
-	waitFor(t, 10*time.Second, func() bool { return completed.Load() >= total/4 })
+	// the remaining half of the load flows.
+	waitFor(t, 10*time.Second, func() bool { return completed.Load() >= workers*(perWorker/4) })
 	mode.Store(chaosPanic)
+	close(armed)
 	waitFor(t, 10*time.Second, func() bool {
 		return r.shards[int(victim.Load())].panics.Load() > 0
 	})
 	mode.Store(chaosOff)
+	close(disarmed)
 	wg.Wait()
 
 	if n := hardFails.Load(); n != 0 {

@@ -30,29 +30,64 @@ func BenchmarkMatMul(b *testing.B) {
 	}
 }
 
+// BenchmarkMatMulSerialVsParallel times LinearInto at the serving K/V
+// projection shape (96→64) serially and fanned out, across row counts
+// around ParallelThresholds.MatMulRows; it is the benchmark that
+// threshold is picked from.
 func BenchmarkMatMulSerialVsParallel(b *testing.B) {
 	r := NewRNG(2)
-	a := Rand(r, 2048, 128)
-	w := Rand(r, 128, 128)
-	dst := New(2048, 128)
-	b.Run("parallel", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			MatMulInto(a, w, dst)
-		}
-	})
-	b.Run("serial", func(b *testing.B) {
-		prev := parallel.SetDegree(1)
-		defer parallel.SetDegree(prev)
-		for i := 0; i < b.N; i++ {
-			MatMulInto(a, w, dst)
-		}
-	})
+	const k, n = 96, 64
+	w := Rand(r, n, k)
+	bias := Rand(r, n)
+	for _, m := range []int{64, 256, 4096} {
+		x := Rand(r, m, k)
+		dst := New(m, n)
+		b.Run(fmt.Sprintf("m=%d/parallel", m), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				LinearInto(x, w, bias, dst)
+			}
+		})
+		b.Run(fmt.Sprintf("m=%d/serial", m), func(b *testing.B) {
+			prev := parallel.SetDegree(1)
+			defer parallel.SetDegree(prev)
+			for i := 0; i < b.N; i++ {
+				LinearInto(x, w, bias, dst)
+			}
+		})
+	}
 }
 
-// BenchmarkMatMulKernels compares the dense kernel variants on the
-// tall-skinny shape the layer-1 projections produce, plus a mostly-zero
-// operand for the sparse kernel's home turf. This is the benchmark the
-// kernel doc comments cite for the default choices.
+// BenchmarkLinearSIMDCutoff times the SIMD row kernel and the Go loop
+// directly, bypassing the dispatch, at small row counts of the serving
+// projection shapes. The SIMD kernel, packing included, wins from m=1,
+// which is why MatMulTInto dispatches on no row count.
+func BenchmarkLinearSIMDCutoff(b *testing.B) {
+	if !useSIMD {
+		b.Skip("no SIMD kernel on this host")
+	}
+	r := NewRNG(9)
+	for _, shape := range []struct{ k, n int }{{96, 64}, {64, 64}, {32, 32}} {
+		k, n := shape.k, shape.n
+		w := Rand(r, n, k)
+		for _, m := range []int{1, 2, 3, 4, 5, 8, 16} {
+			x := Rand(r, m, k)
+			dst := New(m, n)
+			for _, path := range []struct {
+				name string
+				rows func(a, b, c []float32, lo, hi, k, n int)
+			}{{"simd", matmulTRowsSIMD}, {"go", matmulTRows}} {
+				b.Run(fmt.Sprintf("%dx%d/m=%d/%s", k, n, m, path.name), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						path.rows(x.data, w.data, dst.data, 0, m, k, n)
+					}
+				})
+			}
+		}
+	}
+}
+
+// BenchmarkMatMulKernels compares the naive and blocked A·B kernels on
+// the tall-skinny shape the layer-1 projections produce.
 func BenchmarkMatMulKernels(b *testing.B) {
 	r := NewRNG(4)
 	const m, k, n = 4096, 96, 64
@@ -79,24 +114,6 @@ func BenchmarkMatMulKernels(b *testing.B) {
 		b.SetBytes(bytes)
 		for i := 0; i < b.N; i++ {
 			MatMulInto(a, w, dst)
-		}
-	})
-	b.Run("sparse/dense-input", func(b *testing.B) {
-		b.SetBytes(bytes)
-		for i := 0; i < b.N; i++ {
-			MatMulSparseInto(a, w, dst)
-		}
-	})
-	sp := a.Clone()
-	for i := range sp.data {
-		if i%8 != 0 {
-			sp.data[i] = 0
-		}
-	}
-	b.Run("sparse/87pct-zero", func(b *testing.B) {
-		b.SetBytes(bytes)
-		for i := 0; i < b.N; i++ {
-			MatMulSparseInto(sp, w, dst)
 		}
 	})
 }

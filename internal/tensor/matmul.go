@@ -22,9 +22,8 @@ func MatMul(a, b *Tensor) *Tensor {
 // rows at a time in i-k-j order, so each streamed B row is reused for
 // four output rows while it sits in registers/L1 — the register
 // blocking that makes the dense path memory-bandwidth-, not
-// latency-bound. The inner loop is branch-free; use MatMulSparseInto
-// when A is known to be mostly zero. The row loop parallelizes above
-// ParallelThresholds.MatMulRows.
+// latency-bound. The inner loop is branch-free. The row loop
+// parallelizes above ParallelThresholds.MatMulRows.
 func MatMulInto(a, b, dst *Tensor) {
 	m, k := a.shape[0], a.shape[1]
 	n := b.shape[1]
@@ -86,51 +85,6 @@ func matmulRows(a, b, c []float32, lo, hi, k, n int) {
 	}
 }
 
-// MatMulSparseInto computes dst = A·B skipping zero A entries — the
-// kernel the dense path used before register blocking. It only pays off
-// when A is genuinely sparse (≳80% zeros, e.g. the masked attention
-// weights of mostly-padded neighborhoods; see BenchmarkMatMulKernels/
-// sparse). Skipping a zero entry drops the 0·b term, so results are
-// bitwise-identical to the dense kernel only for finite B; with ±Inf or
-// NaN in B the dense kernel would produce NaN where this one produces
-// 0. All operands on the inference path are finite (the engine's
-// HasNaN guard), so the substitution is legal there.
-func MatMulSparseInto(a, b, dst *Tensor) {
-	m, k := a.shape[0], a.shape[1]
-	n := b.shape[1]
-	if b.shape[0] != k {
-		panic(fmt.Sprintf("tensor: MatMulSparseInto inner dimension mismatch %v x %v", a.shape, b.shape))
-	}
-	if dst.shape[0] != m || dst.shape[1] != n {
-		panic(fmt.Sprintf("tensor: MatMulSparseInto dst shape %v, want [%d %d]", dst.shape, m, n))
-	}
-	ad, bd, cd := a.data, b.data, dst.data
-	if m >= ParallelThresholds.MatMulRows && parallel.Degree() > 1 {
-		parallel.ForChunked(m, 0, func(lo, hi int) { matmulSparseRows(ad, bd, cd, lo, hi, k, n) })
-	} else {
-		matmulSparseRows(ad, bd, cd, 0, m, k, n)
-	}
-}
-
-// matmulSparseRows computes rows [lo,hi) of c = a·b, skipping zero a
-// entries.
-func matmulSparseRows(a, b, c []float32, lo, hi, k, n int) {
-	for i := lo; i < hi; i++ {
-		arow := a[i*k : i*k+k]
-		crow := c[i*n : i*n+n]
-		clear(crow)
-		for kk, av := range arow {
-			if av == 0 {
-				continue
-			}
-			brow := b[kk*n : kk*n+n]
-			for j, bv := range brow {
-				crow[j] += av * bv
-			}
-		}
-	}
-}
-
 // MatMulT computes C = A·Bᵀ for A (m,k) and B (n,k), i.e. every output
 // element is a dot product of an A row with a B row. This avoids
 // materializing the transpose and is the kernel the attention layer uses
@@ -144,10 +98,14 @@ func MatMulT(a, b *Tensor) *Tensor {
 	return out
 }
 
-// MatMulTInto computes dst = A·Bᵀ with dst preallocated to (m, n). The
-// kernel computes four output columns at a time — four B rows stream
-// against one cached A row with independent accumulators — which is the
-// hot shape of every nn.Linear projection (x·Wᵀ).
+// MatMulTInto computes dst = A·Bᵀ with dst preallocated to (m, n). This
+// is the hot shape of every nn.Linear projection (x·Wᵀ). On amd64 hosts
+// with AVX2, every whole 4-column block runs on an assembly kernel that
+// reproduces matmulTRows' float32 rounding sequence exactly (VMULPS
+// then VADDPS, never FMA, k ascending from +0), so the output is
+// bitwise-identical either way. The kernel wins from a single row at
+// the serving shapes (BenchmarkLinearSIMDCutoff), so there is no row
+// cutoff. The row loop parallelizes above ParallelThresholds.MatMulRows.
 func MatMulTInto(a, b, dst *Tensor) {
 	if a.Rank() != 2 || b.Rank() != 2 {
 		panic("tensor: MatMulTInto requires rank-2 operands")
@@ -161,15 +119,20 @@ func MatMulTInto(a, b, dst *Tensor) {
 		panic(fmt.Sprintf("tensor: MatMulTInto dst shape %v, want [%d %d]", dst.shape, m, n))
 	}
 	ad, bd, cd := a.data, b.data, dst.data
+	rows := matmulTRows
+	if useSIMD && m > 0 && n >= 4 && k > 0 {
+		rows = matmulTRowsSIMD
+	}
 	if m >= ParallelThresholds.MatMulRows && parallel.Degree() > 1 {
-		parallel.ForChunked(m, 0, func(lo, hi int) { matmulTRows(ad, bd, cd, lo, hi, k, n) })
+		parallel.ForChunked(m, 0, func(lo, hi int) { rows(ad, bd, cd, lo, hi, k, n) })
 	} else {
-		matmulTRows(ad, bd, cd, 0, m, k, n)
+		rows(ad, bd, cd, 0, m, k, n)
 	}
 }
 
 // matmulTRows computes rows [lo,hi) of c = a·bᵀ, four output columns
-// (B rows) at a time against one cached A row.
+// (B rows) at a time against one cached A row. It is the portable path
+// and the reference the SIMD kernel is tested against bit for bit.
 func matmulTRows(a, b, c []float32, lo, hi, k, n int) {
 	for i := lo; i < hi; i++ {
 		arow := a[i*k : i*k+k]

@@ -1,6 +1,8 @@
 package tensor
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"tgopt/internal/parallel"
@@ -75,28 +77,6 @@ func TestMatMulIntoMatchesNaive(t *testing.T) {
 	}
 }
 
-func TestMatMulSparseMatchesNaive(t *testing.T) {
-	r := NewRNG(13)
-	for _, s := range kernelShapes {
-		a := Randn(r, s.m, s.k)
-		// Zero out most of A, as masked attention weights are.
-		for i := range a.data {
-			if i%5 != 0 {
-				a.data[i] = 0
-			}
-		}
-		b := Randn(r, s.k, s.n)
-		want := matmulNaive(a, b)
-		got := New(s.m, s.n)
-		got.Fill(999)
-		MatMulSparseInto(a, b, got)
-		// Skipping the zero terms never changes a finite sum: bitwise.
-		if d := got.MaxAbsDiff(want); d != 0 {
-			t.Errorf("MatMulSparseInto %dx%dx%d: max diff %g from naive", s.m, s.k, s.n, d)
-		}
-	}
-}
-
 func TestMatMulTIntoMatchesNaive(t *testing.T) {
 	r := NewRNG(14)
 	for _, s := range kernelShapes {
@@ -112,6 +92,108 @@ func TestMatMulTIntoMatchesNaive(t *testing.T) {
 			t.Errorf("MatMulTInto %dx%dx%d: max diff %g from naive", s.m, s.k, s.n, d)
 		}
 	}
+}
+
+// matmulTGo is the portable A·Bᵀ path: matmulTRows over every row, the
+// loop non-AVX2 hosts run and the reference the SIMD kernel must match
+// bit for bit.
+func matmulTGo(a, b *Tensor) *Tensor {
+	m, k, n := a.shape[0], a.shape[1], b.shape[0]
+	out := New(m, n)
+	matmulTRows(a.data, b.data, out.data, 0, m, k, n)
+	return out
+}
+
+// requireBitwise fails unless got and want hold the same float32 bit
+// patterns (so NaNs compare too, and +0 differs from -0).
+func requireBitwise(t *testing.T, name string, got, want *Tensor) {
+	t.Helper()
+	for i, w := range want.data {
+		if g := got.data[i]; math.Float32bits(g) != math.Float32bits(w) {
+			t.Errorf("%s: element %d = %g (%#08x), want %g (%#08x)",
+				name, i, g, math.Float32bits(g), w, math.Float32bits(w))
+			return
+		}
+	}
+}
+
+// checkMatMulTBitwise runs MatMulTInto and LinearInto on the SIMD path
+// (when the host has it) and with it switched off, each serially and at
+// the default parallel degree, against the Go loop.
+func checkMatMulTBitwise(t *testing.T, label string, a, b, bias *Tensor) {
+	t.Helper()
+	m, n := a.shape[0], b.shape[0]
+	want := matmulTGo(a, b)
+	wantLin := want.Clone()
+	AddRowBiasInPlace(wantLin, bias)
+	defer func(on bool) { useSIMD = on }(useSIMD)
+	for _, simd := range []bool{useSIMD, false} {
+		useSIMD = simd
+		for _, degree := range []int{1, parallel.Degree()} {
+			prev := parallel.SetDegree(degree)
+			name := fmt.Sprintf("%s simd=%v degree=%d", label, simd, degree)
+			got := New(m, n)
+			got.Fill(999) // Into must fully overwrite
+			MatMulTInto(a, b, got)
+			requireBitwise(t, "MatMulTInto "+name, got, want)
+			got.Fill(999)
+			LinearInto(a, b, bias, got)
+			requireBitwise(t, "LinearInto "+name, got, wantLin)
+			parallel.SetDegree(prev)
+		}
+	}
+}
+
+func TestMatMulTIntoBitwiseMatchesGoLoop(t *testing.T) {
+	t.Logf("SIMD kernel available: %v", useSIMD)
+	r := NewRNG(21)
+	// k=300 spans three packed k blocks (panelK=128); n=31 ends in a
+	// 12-column panel, n=4 is one 4-column panel.
+	for _, m := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 63, 64, 65, 4096} {
+		for _, k := range []int{1, 7, 96, 97, 300} {
+			for _, n := range []int{1, 3, 4, 31, 32, 33, 64, 65} {
+				if m == 4096 && (k != 96 || n < 64) {
+					continue // the serving shape; the rest run at fewer rows
+				}
+				a := Randn(r, m, k)
+				b := Randn(r, n, k)
+				bias := Randn(r, n)
+				checkMatMulTBitwise(t, fmt.Sprintf("%dx%dx%d", m, k, n), a, b, bias)
+			}
+		}
+	}
+}
+
+// The dense loop turns 0·Inf and Inf−Inf into NaN and carries NaN
+// through every later sum; the SIMD kernel must produce the same bits.
+// Each A row holds one kind of special value, so every NaN meeting
+// another NaN in a sum carries the same payload (which of two payloads
+// an x86 add keeps depends on operand order, which the Go compiler does
+// not fix).
+func TestMatMulTIntoBitwiseSpecialValues(t *testing.T) {
+	r := NewRNG(22)
+	const m, k, n = 67, 97, 37
+	a := Randn(r, m, k)
+	b := Randn(r, n, k)
+	bias := Randn(r, n)
+	for j := 0; j < n; j += 3 {
+		b.data[j*k+j%k] = 0 // 0·Inf in the rows that hold an Inf there
+	}
+	inf := float32(math.Inf(1))
+	nan := float32(math.NaN())
+	for i := 0; i < m; i++ {
+		row := a.data[i*k : i*k+k]
+		switch i % 4 {
+		case 0:
+			row[i%k] = nan
+		case 1:
+			row[(i*7)%k] = inf
+		case 2:
+			row[(i*5)%k] = inf
+			row[(i*11+1)%k] = -inf
+		}
+	}
+	checkMatMulTBitwise(t, "special", a, b, bias)
 }
 
 func TestLinearIntoMatchesLinear(t *testing.T) {
@@ -187,11 +269,21 @@ func TestKernelAllocs(t *testing.T) {
 	bt := Randn(r, 64, 96)
 	dst := New(128, 64)
 	bias := Randn(r, 64)
+	// LinearInto runs at 128 rows and at one row (a padded block) on
+	// the SIMD kernel where the host has it, and on the Go loop.
+	one := Randn(r, 1, 96)
+	oneDst := New(1, 64)
+	simd := useSIMD
 	for name, fn := range map[string]func(){
-		"MatMulInto":       func() { MatMulInto(a, b, dst) },
-		"MatMulSparseInto": func() { MatMulSparseInto(a, b, dst) },
-		"MatMulTInto":      func() { MatMulTInto(a, bt, dst) },
-		"LinearInto":       func() { LinearInto(a, bt, bias, dst) },
+		"MatMulInto":         func() { MatMulInto(a, b, dst) },
+		"MatMulTInto":        func() { MatMulTInto(a, bt, dst) },
+		"LinearInto":         func() { LinearInto(a, bt, bias, dst) },
+		"LinearInto/one-row": func() { LinearInto(one, bt, bias, oneDst) },
+		"LinearInto/go-loop": func() {
+			useSIMD = false
+			LinearInto(a, bt, bias, dst)
+			useSIMD = simd
+		},
 	} {
 		if allocs := testing.AllocsPerRun(10, fn); allocs != 0 {
 			t.Errorf("%s: %v allocs/op, want 0", name, allocs)

@@ -101,9 +101,12 @@ func AddRowBiasInPlace(a, bias *Tensor) *Tensor {
 	if bias.Len() != w {
 		panic(fmt.Sprintf("tensor: AddRowBiasInPlace bias length %d != trailing dim %d", bias.Len(), w))
 	}
-	for base := 0; base < len(a.data); base += w {
-		for j := 0; j < w; j++ {
-			a.data[base+j] += bias.data[j]
+	// Local slices keep the stores from forcing a reload of a.data.
+	data, b := a.data, bias.data[:w]
+	for base := 0; base < len(data); base += w {
+		row := data[base : base+w]
+		for j, v := range b {
+			row[j] += v
 		}
 	}
 	return a

@@ -14,6 +14,10 @@ go vet ./...
 echo "== go build"
 go build ./...
 
+echo "== arm64 cross-check (the !amd64 tensor fallback must keep building and vetting)"
+GOTOOLCHAIN=local GOARCH=arm64 go vet ./internal/tensor/
+GOTOOLCHAIN=local GOARCH=arm64 go build ./...
+
 echo "== go test"
 go test ./...
 
